@@ -127,9 +127,7 @@ private:
 ResilientModelClient::Config clientConfig() {
   ResilientModelClient::Config C;
   C.RequestTimeoutMs = 10000;
-  C.CacheCapacity = 0;        // every request hits the wire
-  C.CacheErrorReplies = false; // a transient shed must not poison later
-                               // identical requests
+  C.CacheCapacity = 0; // every request hits the wire
   return C;
 }
 

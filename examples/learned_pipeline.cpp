@@ -7,11 +7,14 @@
 //      control + instrumentation + binary archives),
 //   2. rank (Eq. 2), normalize (Eq. 3) and train three linear SVMs
 //      (cold/warm/hot) with C = 10,
-//   3. start a model *server* on the other end of a pair of POSIX named
-//      pipes and run the held-out benchmark with the learning-enabled
-//      compiler asking the server for a modifier at every compilation —
-//      through the hardened ResilientModelClient (deadline, retry,
-//      prediction cache, fallback),
+//   3. start a model *server* (serveModel over the LearnedStrategyProvider)
+//      on the other end of a pair of POSIX named pipes and run the
+//      held-out benchmark with the learning-enabled compiler asking the
+//      server for a modifier at every compilation — through the hardened
+//      ResilientModelClient (deadline, retry, prediction cache, fallback).
+//      Levels without a model (veryHot, scorching) are answered "no model
+//      for level"; the client caches that and compiles them with the
+//      hand-tuned plan,
 //   4. compare start-up wall time and compile time against the baseline,
 //      print the bridge counters, then stop the model service and show
 //      that compilation still completes via fallback.
@@ -79,9 +82,10 @@ int main() {
     Server.join();
     return 1;
   }
-  // The hardened client: 100ms deadline per round trip, prediction cache
-  // keyed by (level, feature hash), fallback to the hand-tuned plan when
-  // the service cannot answer.
+  // The hardened client: 100ms deadline per round trip, LRU prediction
+  // cache keyed by (level, feature hash) holding modifiers and "no model"
+  // answers, fallback to the hand-tuned plan when the service cannot
+  // answer.
   ResilientModelClient Client(std::move(ClientTransport));
 
   // 4. Evaluate on the held-out benchmark.
@@ -110,6 +114,7 @@ int main() {
               (unsigned long long)Backend.predictions());
 
   // 5. Model-service overhead, as an experiment would report it.
+  //    Uncovered-level answers count as errorReplies and fallbacks.
   BridgeCounters Counters = Client.counters();
   std::printf("[bridge] counters after the learned run:\n%s",
               Counters.toText().c_str());

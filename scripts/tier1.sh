@@ -7,8 +7,9 @@
 #                (bridge wire frames, fuzzed framing, model-file loaders)
 #   tsan         ThreadSanitizer build re-running the concurrent subsystems
 #                (compilation queue, code cache, async pipeline, shared
-#                bridge client, differential interpreter-vs-JIT checks,
-#                chaos scenarios with injected stalls)
+#                bridge client, serveModel sessions, differential
+#                interpreter-vs-JIT checks, chaos scenarios with injected
+#                stalls)
 #   pipeline     learning-pipeline parallelism: micro_pipeline emits
 #                BENCH_pipeline.json (bit-identity enforced by the binary)
 #                and the Pipeline/TrainerEquivalence tests re-run under
@@ -107,7 +108,7 @@ tsan_step() {
     cmake -B build-tsan -S . -DJITML_TSAN=ON &&
     cmake --build build-tsan -j"$(nproc)" --target jitml_tests &&
     (cd build-tsan && ctest --output-on-failure -j"$(nproc)" -R \
-      'CompilationQueue\.|CodeCache\.|AsyncPipeline\.|AsyncVM\.|Differential\.|DifferentialModifier\.|ConcurrentBridge\.|Chaos\.|Oracle\.|Campaign\.|OptMemo\.|Serve\.')
+      'CompilationQueue\.|CodeCache\.|AsyncPipeline\.|AsyncVM\.|Differential\.|DifferentialModifier\.|ConcurrentBridge\.|Chaos\.|Oracle\.|Campaign\.|OptMemo\.|Serve\.|Resilient\.|Service\.')
 }
 
 pipeline_step() {

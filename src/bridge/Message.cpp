@@ -217,6 +217,12 @@ RecvStatus jitml::decodeMessagePayload(const std::vector<uint8_t> &Payload,
   return RecvStatus::Malformed; // unknown message type
 }
 
+uint32_t jitml::frameLength(const uint8_t *Prefix) {
+  uint32_t Size = (uint32_t)Prefix[0] | ((uint32_t)Prefix[1] << 8) |
+                  ((uint32_t)Prefix[2] << 16) | ((uint32_t)Prefix[3] << 24);
+  return Size <= MaxFrameBytes ? Size : 0;
+}
+
 bool jitml::recvMessage(Transport &T, Message &Out) {
   return recvMessageFor(T, Out, /*TimeoutMs=*/-1) == RecvStatus::Ok;
 }
@@ -238,11 +244,10 @@ RecvStatus jitml::recvMessageFor(Transport &T, Message &Out, int TimeoutMs) {
   IoStatus S = T.readBytesFor(Head, 4, TimeoutMs);
   if (S != IoStatus::Ok)
     return S == IoStatus::Timeout ? RecvStatus::Timeout : RecvStatus::Closed;
-  uint32_t Size = Head[0] | (Head[1] << 8) | (Head[2] << 16) |
-                  ((uint32_t)Head[3] << 24);
+  uint32_t Size = frameLength(Head);
   // An unframeable length prefix means we cannot find the next frame
   // boundary: the stream is garbage from here on, so treat it as dead.
-  if (Size == 0 || Size > (1u << 20))
+  if (Size == 0)
     return RecvStatus::Closed;
   std::vector<uint8_t> Payload(Size);
   S = T.readBytesFor(Payload.data(), Size, Remaining());

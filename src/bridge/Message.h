@@ -64,9 +64,18 @@ struct BatchModifierEntry {
   uint64_t Bits = 0;
 };
 
-/// Largest accepted FeatureBatch entry count (well under the 1 MiB frame
-/// cap even at 71 features per entry).
+/// Largest accepted frame payload. A length prefix of zero or above this
+/// is unframeable: the receiver cannot find the next frame boundary.
+constexpr uint32_t MaxFrameBytes = 1u << 20;
+
+/// Largest accepted FeatureBatch entry count (well under MaxFrameBytes
+/// even at 71 features per entry).
 constexpr size_t MaxBatchEntries = 256;
+
+/// Error text of the definitive "no model covers this level" answer to a
+/// Features frame. A client may cache it; any other Error (a shed, a
+/// malformed request) is transient.
+constexpr const char NoModelError[] = "no model for level";
 
 struct Message {
   MsgType Type = MsgType::Bye;
@@ -79,6 +88,18 @@ struct Message {
   std::vector<BatchFeatureEntry> BatchFeatures;   ///< FeatureBatch
   std::vector<BatchModifierEntry> BatchModifiers; ///< ModifierBatch
 };
+
+/// An Error message carrying \p Text.
+inline Message errorMessage(const char *Text) {
+  Message M;
+  M.Type = MsgType::Error;
+  M.Text = Text;
+  return M;
+}
+
+/// Payload length announced by a 4-byte frame prefix; 0 when the prefix
+/// is unframeable (zero or above MaxFrameBytes).
+uint32_t frameLength(const uint8_t *Prefix);
 
 /// Result of a deadline-aware read.
 enum class IoStatus : uint8_t {

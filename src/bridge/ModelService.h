@@ -1,14 +1,19 @@
-//===- bridge/ModelService.h - Model server and compiler client -*- C++ -*-===//
+//===- bridge/ModelService.h - Model side of the bridge ---------*- C++ -*-===//
 ///
 /// \file
-/// The two endpoints of Figure 5's compiler/model integration:
+/// The model end of Figure 5's compiler/model integration:
 ///
-///  * ModelServer — wraps a prediction backend and answers Features
-///    requests with Modifier replies until Bye/EOF. The backend interface
-///    is what makes models swappable "without changes to the compiler".
-///  * ModelClient — the Strategy Control side: ships the raw feature
-///    vector and the selected optimization level, gets back the 58-bit
-///    modifier to install.
+///  * ModelBackend — maps (level, raw features) to a modifier; the
+///    interface is what makes models swappable "without changes to the
+///    compiler".
+///  * FrameHandler — every protocol decision a model server makes, in one
+///    place: the Hello version check, Bye, Errors for unexpected frames,
+///    feature-count validation, and rendering per-entry answers as
+///    replies. Both servers use it: serveModel below (one connection over
+///    FIFOs or in-process pipes) and the multi-client serve::ModelServer.
+///  * serveModel — the one-connection server loop.
+///
+/// The compiler end is ResilientModelClient (bridge/ResilientClient.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +22,9 @@
 
 #include "bridge/Transports.h"
 #include "features/FeatureVector.h"
+#include "support/Telemetry.h"
 
+#include <atomic>
 #include <optional>
 
 namespace jitml {
@@ -32,42 +39,73 @@ public:
   predictModifier(OptLevel Level, const std::vector<double> &RawFeatures) = 0;
 };
 
-/// What one serveModel session answered, broken down by outcome — a
-/// Modifier reply is not the same thing as an Error reply ("no model for
-/// level"), and callers sizing a deployment need to see the difference.
+/// What a server answered, broken down by outcome — a Modifier reply is
+/// not the same thing as an Error reply ("no model for level"), and
+/// callers sizing a deployment need to see the difference.
 struct ServeStats {
-  uint64_t Served = 0;       ///< Features answered with a real Modifier
-  uint64_t Degraded = 0;     ///< Features answered with Error / has=0
+  uint64_t Served = 0;       ///< entries answered with a real Modifier
+  uint64_t Degraded = 0;     ///< entries answered with Error / has=0
   uint64_t HelloRejects = 0; ///< Hello frames with a mismatched version
 
   uint64_t answered() const { return Served + Degraded; }
 };
 
-/// Serves one connection: replies to Hello and Features, stops on Bye or
-/// transport EOF. Hello frames announcing a protocol version other than
-/// ProtocolVersion are rejected with an Error reply. The stats are also
-/// mirrored process-wide as bridge.served / bridge.degraded /
-/// bridge.hello_rejects counters.
-ServeStats serveModel(Transport &T, ModelBackend &Backend);
-
-class ModelClient {
+/// The protocol decisions shared by every model server. A Features frame
+/// is a batch of one entry: the entry accessors and answer() treat both
+/// prediction frames alike, so only the reply shape differs.
+///
+/// Thread safety: handle() and answer() are called from one thread (the
+/// server loop); stats() may be read from any thread.
+class FrameHandler {
 public:
-  explicit ModelClient(Transport &T) : T(T) {}
+  /// Counts into <MetricPrefix>.served / .degraded / .hello_rejects.
+  explicit FrameHandler(const std::string &MetricPrefix);
 
-  /// Performs the Hello handshake; false on protocol mismatch.
-  bool hello();
+  enum class Action : uint8_t {
+    Reply,   ///< \p Reply is complete: send it
+    Predict, ///< answer every entry, then render them with answer()
+    Close,   ///< Bye: end the session
+  };
 
-  /// Requests a modifier for (Level, Features). std::nullopt on transport
-  /// failure or a server-side Error reply.
-  std::optional<uint64_t> requestModifier(OptLevel Level,
-                                          const FeatureVector &Features);
+  /// Decides what to do with one decoded frame. Hello frames announcing a
+  /// version other than ProtocolVersion get an Error reply, as do
+  /// non-request frame types and a Features frame with the wrong feature
+  /// count.
+  Action handle(const Message &In, Message &Reply);
 
-  /// Polite shutdown.
-  void bye();
+  /// Number of entries of a prediction frame.
+  static size_t entries(const Message &In) {
+    return In.Type == MsgType::Features ? 1 : In.BatchFeatures.size();
+  }
+  static OptLevel entryLevel(const Message &In, size_t I) {
+    return In.Type == MsgType::Features ? In.Level : In.BatchFeatures[I].Level;
+  }
+  /// Raw features of entry \p I, or nullptr when the entry has the wrong
+  /// feature count: such an entry degrades to has=0 without reaching a
+  /// model (a wrong-dimension vector would index past the scaling
+  /// parameters).
+  static const std::vector<double> *entryFeatures(const Message &In,
+                                                  size_t I);
+
+  /// Renders one answer per entry of a \p Request frame into \p Reply: a
+  /// Modifier or Error NoModelError for Features, a ModifierBatch for
+  /// FeatureBatch. Counts each entry as served or degraded.
+  void answer(MsgType Request, const std::optional<uint64_t> *Answers,
+              size_t N, Message &Reply);
+
+  ServeStats stats() const;
 
 private:
-  Transport &T;
+  std::atomic<uint64_t> Served{0}, Degraded{0}, HelloRejects{0};
+  TelemetryCounter *ServedCtr, *DegradedCtr, *HelloRejectsCtr;
 };
+
+/// Serves one connection: answers frames through FrameHandler, predicting
+/// inline with \p Backend, until Bye or transport EOF. A frame that was
+/// read whole but does not decode gets an Error reply and the session
+/// continues. Answers are counted under bridge.served / bridge.degraded /
+/// bridge.hello_rejects.
+ServeStats serveModel(Transport &T, ModelBackend &Backend);
 
 } // namespace jitml
 

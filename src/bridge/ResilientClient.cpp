@@ -14,12 +14,11 @@ using namespace jitml;
 std::vector<std::pair<std::string, uint64_t>> BridgeCounters::rows() const {
   return {
       {"requests", Requests},         {"cacheHits", CacheHits},
-      {"cacheFlushes", CacheFlushes}, {"wireRequests", WireRequests},
-      {"timeouts", Timeouts},         {"retries", Retries},
-      {"reconnects", Reconnects},     {"errorReplies", ErrorReplies},
-      {"fallbacks", Fallbacks},       {"batchRequests", BatchRequests},
-      {"batchItems", BatchItems},     {"bytesSent", BytesSent},
-      {"bytesReceived", BytesReceived},
+      {"wireRequests", WireRequests}, {"timeouts", Timeouts},
+      {"retries", Retries},           {"reconnects", Reconnects},
+      {"errorReplies", ErrorReplies}, {"fallbacks", Fallbacks},
+      {"batchRequests", BatchRequests}, {"batchItems", BatchItems},
+      {"bytesSent", BytesSent},       {"bytesReceived", BytesReceived},
   };
 }
 
@@ -32,12 +31,6 @@ std::string BridgeCounters::toText() const {
 
 namespace {
 
-/// Cache key: the feature hash stirred with the level so equal vectors at
-/// different levels occupy distinct slots.
-uint64_t cacheKey(OptLevel Level, uint64_t FeatureHash) {
-  return FeatureHash ^ (0x9e3779b97f4a7c15ULL * ((uint64_t)Level + 1));
-}
-
 void realSleep(int Ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
 }
@@ -47,7 +40,6 @@ void realSleep(int Ms) {
 void ResilientModelClient::resolveTelemetry() {
   MetricRegistry &R = MetricRegistry::global();
   Tel.Requests = &R.counter("bridge.requests");
-  Tel.CacheHits = &R.counter("bridge.cache_hits");
   Tel.Timeouts = &R.counter("bridge.timeouts");
   Tel.Retries = &R.counter("bridge.retries");
   Tel.Fallbacks = &R.counter("bridge.fallbacks");
@@ -59,7 +51,8 @@ void ResilientModelClient::resolveTelemetry() {
 
 ResilientModelClient::ResilientModelClient(std::unique_ptr<Transport> T,
                                            Config C)
-    : Cfg(C), Owned(std::move(T)), Sleep(realSleep) {
+    : Cfg(C), Owned(std::move(T)), Cache(C.CacheCapacity, "bridge"),
+      Sleep(realSleep) {
   resolveTelemetry();
   if (Owned)
     Wire = std::make_unique<CountingTransport>(*Owned);
@@ -68,7 +61,8 @@ ResilientModelClient::ResilientModelClient(std::unique_ptr<Transport> T,
 }
 
 ResilientModelClient::ResilientModelClient(TransportFactory F, Config C)
-    : Cfg(C), Factory(std::move(F)), Sleep(realSleep) {
+    : Cfg(C), Factory(std::move(F)), Cache(C.CacheCapacity, "bridge"),
+      Sleep(realSleep) {
   resolveTelemetry();
 }
 
@@ -119,7 +113,7 @@ bool ResilientModelClient::ensureConnected() {
   if (!HandshakeDone) {
     Message Hello;
     Hello.Type = MsgType::Hello;
-    Hello.Version = 1;
+    Hello.Version = ProtocolVersion;
     if (!sendMessage(*Wire, Hello)) {
       dropConnection();
       return false;
@@ -127,7 +121,7 @@ bool ResilientModelClient::ensureConnected() {
     Message Reply;
     RecvStatus S = recvMessageFor(*Wire, Reply, Cfg.RequestTimeoutMs);
     if (S != RecvStatus::Ok || Reply.Type != MsgType::Hello ||
-        Reply.Version != 1) {
+        Reply.Version != ProtocolVersion) {
       if (S == RecvStatus::Timeout) {
         ++Count.Timeouts;
         Tel.Timeouts->add();
@@ -140,62 +134,74 @@ bool ResilientModelClient::ensureConnected() {
   return true;
 }
 
-bool ResilientModelClient::tryOnce(OptLevel Level,
-                                   const FeatureVector &Features,
-                                   std::optional<uint64_t> &Answer) {
-  Message M;
-  M.Type = MsgType::Features;
-  M.Level = Level;
-  M.FeatureValues.reserve(NumFeatures);
-  for (unsigned I = 0; I < NumFeatures; ++I)
-    M.FeatureValues.push_back((double)Features.get(I));
+bool ResilientModelClient::roundTrip(const Message &Req, Message &Reply) {
   ++Count.WireRequests;
   Tel.WireRequests->add();
-  if (!sendMessage(*Wire, M)) {
+  if (!sendMessage(*Wire, Req)) {
     dropConnection();
     return false;
   }
-  Message Reply;
   RecvStatus S = JITML_FAULT_POINT("client.request.timeout")
                      ? RecvStatus::Timeout
                      : recvMessageFor(*Wire, Reply, Cfg.RequestTimeoutMs);
   if (S == RecvStatus::Timeout) {
     ++Count.Timeouts;
     Tel.Timeouts->add();
-    dropConnection(); // the stream may be mid-frame: unusable
-    return false;
   }
   if (S != RecvStatus::Ok) {
-    dropConnection();
+    dropConnection(); // a timed-out stream may be mid-frame: unusable
     return false;
-  }
-  if (Reply.Type == MsgType::Modifier) {
-    Answer = Reply.ModifierBits;
-    return true;
   }
   if (Reply.Type == MsgType::Error) {
     ++Count.ErrorReplies;
     Tel.ErrorReplies->add();
-    Answer = std::nullopt; // definitive "no model" answer
     return true;
   }
-  // A reply that is neither Modifier nor Error means the peer is not
-  // speaking our dialect; stop trusting the connection.
-  dropConnection();
+  bool Answers = Req.Type == MsgType::Features
+                     ? Reply.Type == MsgType::Modifier
+                     : Reply.Type == MsgType::ModifierBatch &&
+                           Reply.BatchModifiers.size() ==
+                               Req.BatchFeatures.size();
+  if (!Answers)
+    dropConnection(); // the peer is not speaking our dialect
+  return Answers;
+}
+
+bool ResilientModelClient::exchange(const Message &Req, Message &Reply) {
+  double Backoff = (double)Cfg.InitialBackoffMs;
+  for (unsigned Attempt = 0; Attempt < Cfg.MaxAttempts; ++Attempt) {
+    if (Attempt > 0) {
+      if (Poisoned)
+        break; // no way back: don't burn time sleeping
+      ++Count.Retries;
+      Tel.Retries->add();
+      if (Backoff >= 1.0 && Sleep)
+        Sleep((int)Backoff);
+      Backoff *= Cfg.BackoffMultiplier;
+    }
+    if (ensureConnected() && roundTrip(Req, Reply))
+      return true;
+  }
   return false;
 }
 
-void ResilientModelClient::cacheInsert(uint64_t Key,
-                                       std::optional<uint64_t> Answer) {
-  if (Cfg.CacheCapacity == 0)
-    return;
-  if (!Answer && !Cfg.CacheErrorReplies)
-    return;
-  if (Cache.size() >= Cfg.CacheCapacity) {
-    Cache.clear(); // wholesale flush keeps the bound without LRU bookkeeping
-    ++Count.CacheFlushes;
-  }
-  Cache.emplace(Key, Answer);
+bool ResilientModelClient::lookup(OptLevel Level, uint64_t Hash,
+                                  std::optional<uint64_t> &Answer) {
+  if (!Cache.lookup(/*Version=*/0, Level, Hash, Answer))
+    return false;
+  ++Count.CacheHits;
+  return true;
+}
+
+void ResilientModelClient::store(OptLevel Level, uint64_t Hash,
+                                 std::optional<uint64_t> Answer) {
+  if (Answer || Cfg.CacheErrorReplies)
+    Cache.insert(/*Version=*/0, Level, Hash, Answer);
+}
+
+void ResilientModelClient::countFallback() {
+  ++Count.Fallbacks;
+  Tel.Fallbacks->add();
 }
 
 std::optional<uint64_t>
@@ -224,102 +230,35 @@ ResilientModelClient::requestModifierLocked(OptLevel Level,
                                             const FeatureVector &Features) {
   ++Count.Requests;
   Tel.Requests->add();
-  uint64_t Key = cacheKey(Level, Features.hash());
-  if (Cfg.CacheCapacity != 0) {
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      ++Count.CacheHits;
-      Tel.CacheHits->add();
-      if (!It->second)
-        ++Count.Fallbacks, Tel.Fallbacks->add();
-      return It->second;
-    }
+  uint64_t Hash = Features.hash();
+  std::optional<uint64_t> Answer;
+  if (lookup(Level, Hash, Answer)) {
+    if (!Answer)
+      countFallback();
+    return Answer;
   }
 
   // Forced fallback: behave exactly as if every attempt failed, without
   // touching the wire — the caller must degrade to the default plan.
   if (JITML_FAULT_POINT("client.request.fallback")) {
-    ++Count.Fallbacks, Tel.Fallbacks->add();
+    countFallback();
     return std::nullopt;
   }
 
-  double Backoff = (double)Cfg.InitialBackoffMs;
-  for (unsigned Attempt = 0; Attempt < Cfg.MaxAttempts; ++Attempt) {
-    if (Attempt > 0) {
-      if (Poisoned)
-        break; // no way back: don't burn time sleeping
-      ++Count.Retries;
-      Tel.Retries->add();
-      if (Backoff >= 1.0 && Sleep)
-        Sleep((int)Backoff);
-      Backoff *= Cfg.BackoffMultiplier;
-    }
-    if (!ensureConnected())
-      continue;
-    std::optional<uint64_t> Answer;
-    if (tryOnce(Level, Features, Answer)) {
-      cacheInsert(Key, Answer);
-      if (!Answer)
-        ++Count.Fallbacks, Tel.Fallbacks->add();
-      return Answer;
-    }
-  }
-  ++Count.Fallbacks, Tel.Fallbacks->add();
-  return std::nullopt;
-}
-
-bool ResilientModelClient::tryBatchOnce(
-    const std::vector<BatchRequest> &Items, const std::vector<size_t> &Misses,
-    std::vector<std::optional<uint64_t>> &Answers) {
-  Message M;
-  M.Type = MsgType::FeatureBatch;
-  M.BatchFeatures.resize(Misses.size());
-  for (size_t I = 0; I < Misses.size(); ++I) {
-    BatchFeatureEntry &E = M.BatchFeatures[I];
-    E.Level = Items[Misses[I]].Level;
-    E.FeatureValues.reserve(NumFeatures);
-    for (unsigned F = 0; F < NumFeatures; ++F)
-      E.FeatureValues.push_back((double)Items[Misses[I]].Features.get(F));
-  }
-  ++Count.WireRequests;
-  Tel.WireRequests->add();
-  if (!sendMessage(*Wire, M)) {
-    dropConnection();
-    return false;
-  }
+  Message Req;
+  Req.Type = MsgType::Features;
+  Req.Level = Level;
+  Req.FeatureValues.assign(Features.raw().begin(), Features.raw().end());
   Message Reply;
-  RecvStatus S = JITML_FAULT_POINT("client.request.timeout")
-                     ? RecvStatus::Timeout
-                     : recvMessageFor(*Wire, Reply, Cfg.RequestTimeoutMs);
-  if (S == RecvStatus::Timeout) {
-    ++Count.Timeouts;
-    Tel.Timeouts->add();
-    dropConnection(); // the stream may be mid-frame: unusable
-    return false;
+  if (exchange(Req, Reply)) {
+    if (Reply.Type == MsgType::Modifier)
+      Answer = Reply.ModifierBits;
+    if (Answer || Reply.Text == NoModelError)
+      store(Level, Hash, Answer);
   }
-  if (S != RecvStatus::Ok) {
-    dropConnection();
-    return false;
-  }
-  if (Reply.Type == MsgType::ModifierBatch &&
-      Reply.BatchModifiers.size() == Misses.size()) {
-    for (size_t I = 0; I < Misses.size(); ++I) {
-      const BatchModifierEntry &E = Reply.BatchModifiers[I];
-      Answers[Misses[I]] =
-          E.HasModifier ? std::optional<uint64_t>(E.Bits) : std::nullopt;
-    }
-    return true;
-  }
-  if (Reply.Type == MsgType::Error) {
-    // Definitive server-side refusal: every entry falls back.
-    ++Count.ErrorReplies;
-    Tel.ErrorReplies->add();
-    return true;
-  }
-  // Wrong reply type or wrong entry count: the peer is not speaking our
-  // dialect; stop trusting the connection.
-  dropConnection();
-  return false;
+  if (!Answer)
+    countFallback();
+  return Answer;
 }
 
 std::vector<std::optional<uint64_t>> ResilientModelClient::requestModifierBatch(
@@ -332,64 +271,53 @@ std::vector<std::optional<uint64_t>> ResilientModelClient::requestModifierBatch(
 
   // Answer what we can from the prediction cache; collect the misses.
   std::vector<size_t> Misses;
-  std::vector<uint64_t> Keys(Items.size());
+  std::vector<uint64_t> Hashes(Items.size());
   for (size_t I = 0; I < Items.size(); ++I) {
     ++Count.Requests;
-  Tel.Requests->add();
-    Keys[I] = cacheKey(Items[I].Level, Items[I].Features.hash());
-    if (Cfg.CacheCapacity != 0) {
-      auto It = Cache.find(Keys[I]);
-      if (It != Cache.end()) {
-        ++Count.CacheHits;
-        Tel.CacheHits->add();
-        if (!It->second)
-          ++Count.Fallbacks, Tel.Fallbacks->add();
-        Answers[I] = It->second;
-        continue;
-      }
-    }
-    Misses.push_back(I);
+    Tel.Requests->add();
+    Hashes[I] = Items[I].Features.hash();
+    if (!lookup(Items[I].Level, Hashes[I], Answers[I]))
+      Misses.push_back(I);
+    else if (!Answers[I])
+      countFallback();
   }
 
   // Forced fallback: skip the wire entirely so every miss degrades to the
   // default plan, as if the model service were unreachable.
   if (!Misses.empty() && JITML_FAULT_POINT("client.request.fallback")) {
-    for (size_t I : Misses)
-      ++Count.Fallbacks, Tel.Fallbacks->add();
+    for (size_t I = 0; I < Misses.size(); ++I)
+      countFallback();
     Misses.clear();
   }
 
   // Ship the misses in protocol-sized chunks, each with the single-request
-  // retry/backoff budget.
+  // retry/backoff budget. A frame-level Error (e.g. a shed) degrades the
+  // chunk for this call only; per-entry has=0 is a definitive answer.
   for (size_t Start = 0; Start < Misses.size(); Start += MaxBatchEntries) {
-    std::vector<size_t> Chunk(
-        Misses.begin() + (std::ptrdiff_t)Start,
-        Misses.begin() +
-            (std::ptrdiff_t)std::min(Start + MaxBatchEntries, Misses.size()));
-    bool Answered = false;
-    double Backoff = (double)Cfg.InitialBackoffMs;
-    for (unsigned Attempt = 0; Attempt < Cfg.MaxAttempts; ++Attempt) {
-      if (Attempt > 0) {
-        if (Poisoned)
-          break;
-        ++Count.Retries;
-      Tel.Retries->add();
-        if (Backoff >= 1.0 && Sleep)
-          Sleep((int)Backoff);
-        Backoff *= Cfg.BackoffMultiplier;
-      }
-      if (!ensureConnected())
-        continue;
-      if (tryBatchOnce(Items, Chunk, Answers)) {
-        Answered = true;
-        break;
-      }
+    size_t End = std::min(Start + MaxBatchEntries, Misses.size());
+    Message Req;
+    Req.Type = MsgType::FeatureBatch;
+    Req.BatchFeatures.resize(End - Start);
+    for (size_t J = Start; J < End; ++J) {
+      BatchFeatureEntry &E = Req.BatchFeatures[J - Start];
+      const BatchRequest &Item = Items[Misses[J]];
+      E.Level = Item.Level;
+      E.FeatureValues.assign(Item.Features.raw().begin(),
+                             Item.Features.raw().end());
     }
-    for (size_t I : Chunk) {
-      if (Answered)
-        cacheInsert(Keys[I], Answers[I]);
+    Message Reply;
+    bool Answered =
+        exchange(Req, Reply) && Reply.Type == MsgType::ModifierBatch;
+    for (size_t J = Start; J < End; ++J) {
+      size_t I = Misses[J];
+      if (Answered) {
+        const BatchModifierEntry &E = Reply.BatchModifiers[J - Start];
+        if (E.HasModifier)
+          Answers[I] = E.Bits;
+        store(Items[I].Level, Hashes[I], Answers[I]);
+      }
       if (!Answers[I])
-        ++Count.Fallbacks, Tel.Fallbacks->add();
+        countFallback();
     }
   }
   uint64_t DurUs = telemetryNowUs() - StartUs;
@@ -412,11 +340,5 @@ void ResilientModelClient::bye() {
   Message M;
   M.Type = MsgType::Bye;
   sendMessage(*Wire, M);
-  Count.BytesSent += Wire->bytesSent();
-  Count.BytesReceived += Wire->bytesReceived();
-  Wire.reset();
-  Owned.reset();
-  HandshakeDone = false;
-  if (!Factory)
-    Poisoned = true; // no way to reconnect: later requests fall back fast
+  dropConnection(); // without a factory, later requests fall back fast
 }

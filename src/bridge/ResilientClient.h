@@ -1,9 +1,9 @@
 //===- bridge/ResilientClient.h - Hardened model client ---------*- C++ -*-===//
 ///
 /// \file
-/// Production wrapper around the bridge protocol's client side. The plain
-/// ModelClient blocks forever on a slow or dead model service; in a JIT
-/// that means a hung compilation. This client adds:
+/// The compiler side of the bridge protocol. A client that blocks forever
+/// on a slow or dead model service means a hung compilation in a JIT, so
+/// this client adds:
 ///
 ///  * a per-request deadline (the whole round trip, not per syscall),
 ///  * bounded retry with exponential backoff over a reconnectable
@@ -11,12 +11,19 @@
 ///  * graceful degradation — when the service cannot answer in time the
 ///    caller receives std::nullopt and compiles with the unmodified
 ///    hand-tuned plan,
-///  * a prediction cache keyed by (OptLevel, FeatureVector::hash()) so
-///    repeated compilations of equal feature vectors (common under the
-///    collection mode's recompile-every-N policy) skip the round trip,
+///  * an LRU PredictionCache keyed by (OptLevel, FeatureVector::hash())
+///    so repeated compilations of equal feature vectors (common under the
+///    collection mode's recompile-every-N policy) skip the round trip.
+///    Only definitive answers are cached: a Modifier, the NoModelError
+///    reply to a Features frame, and has=0 entries of a ModifierBatch. A
+///    shed or any other Error falls back for that request only,
 ///  * counters for requests, cache hits, wire round trips, timeouts,
 ///    retries, fallbacks and bytes on the wire, so experiments can report
 ///    model-service overhead.
+///
+/// requestModifier and requestModifierBatch share one retry loop
+/// (deadline, backoff, reconnect) around one send/receive round trip. A
+/// scalar request still travels as a Features frame.
 ///
 /// Timeout semantics: a deadline can expire mid-frame, leaving the byte
 /// stream unframeable, so a timed-out (or broken) connection is dropped
@@ -38,13 +45,15 @@
 #ifndef JITML_BRIDGE_RESILIENTCLIENT_H
 #define JITML_BRIDGE_RESILIENTCLIENT_H
 
-#include "bridge/ModelService.h"
+#include "bridge/PredictionCache.h"
+#include "bridge/Transports.h"
+#include "features/FeatureVector.h"
 #include "support/Telemetry.h"
 
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <optional>
 
 namespace jitml {
 
@@ -52,7 +61,6 @@ namespace jitml {
 struct BridgeCounters {
   uint64_t Requests = 0;      ///< requestModifier calls
   uint64_t CacheHits = 0;     ///< answered from the prediction cache
-  uint64_t CacheFlushes = 0;  ///< times the bounded cache was reset
   uint64_t WireRequests = 0;  ///< round trips actually attempted
   uint64_t Timeouts = 0;      ///< round trips that hit the deadline
   uint64_t Retries = 0;       ///< additional attempts after a failure
@@ -82,10 +90,10 @@ public:
     int InitialBackoffMs = 1;
     double BackoffMultiplier = 2.0;
     /// Prediction cache capacity in entries; 0 disables caching. When
-    /// full the cache is flushed wholesale (counted in CacheFlushes).
+    /// full the least recently used entry is evicted.
     size_t CacheCapacity = 4096;
-    /// Also cache definitive Error replies ("no model for level") so an
-    /// uncovered level does not pay a round trip per compilation.
+    /// Also cache definitive "no model" answers so an uncovered level
+    /// does not pay a round trip per compilation.
     bool CacheErrorReplies = true;
   };
 
@@ -110,6 +118,8 @@ public:
   /// Requests a modifier for (Level, Features). std::nullopt means "use
   /// the unmodified hand-tuned plan" — either the server said so (Error
   /// reply) or the bridge could not answer within the deadline budget.
+  /// With RequestTimeoutMs=-1, MaxAttempts=1 and CacheCapacity=0 this is
+  /// one plain blocking round trip.
   /// Never blocks longer than roughly MaxAttempts * (timeout + backoff).
   std::optional<uint64_t> requestModifier(OptLevel Level,
                                           const FeatureVector &Features);
@@ -146,24 +156,28 @@ private:
   void resolveTelemetry();
   bool ensureConnected();
   void dropConnection();
-  /// One wire round trip. Returns true when a definitive answer arrived
-  /// (Modifier or Error reply); false means the connection failed and was
-  /// dropped.
-  bool tryOnce(OptLevel Level, const FeatureVector &Features,
-               std::optional<uint64_t> &Answer);
-  /// One FeatureBatch round trip for \p Misses (indices into Items).
-  bool tryBatchOnce(const std::vector<BatchRequest> &Items,
-                    const std::vector<size_t> &Misses,
-                    std::vector<std::optional<uint64_t>> &Answers);
+  /// One send/receive of \p Req on the live connection. True when a reply
+  /// of the expected shape arrived (an Error, or the Modifier /
+  /// same-sized ModifierBatch answering \p Req); false means the
+  /// connection failed and was dropped.
+  bool roundTrip(const Message &Req, Message &Reply);
+  /// The deadline/retry/backoff/reconnect loop around roundTrip; false
+  /// when every attempt failed.
+  bool exchange(const Message &Req, Message &Reply);
   std::optional<uint64_t> requestModifierLocked(OptLevel Level,
                                                 const FeatureVector &Features);
-  void cacheInsert(uint64_t Key, std::optional<uint64_t> Answer);
+  /// Cache lookup, counted as a client cache hit.
+  bool lookup(OptLevel Level, uint64_t Hash, std::optional<uint64_t> &Answer);
+  /// Caches a definitive answer (nullopt only with CacheErrorReplies).
+  void store(OptLevel Level, uint64_t Hash, std::optional<uint64_t> Answer);
+  void countFallback();
 
   /// Process-wide metrics mirroring the hot BridgeCounters fields, plus
   /// round-trip latency distributions; resolved once at construction.
+  /// Cache hits count as bridge.cache_hits inside the PredictionCache.
   struct TelemetryRefs {
-    TelemetryCounter *Requests, *CacheHits, *Timeouts, *Retries,
-        *Fallbacks, *ErrorReplies, *WireRequests;
+    TelemetryCounter *Requests, *Timeouts, *Retries, *Fallbacks,
+        *ErrorReplies, *WireRequests;
     TelemetryHistogram *RequestUs, *BatchUs;
   };
 
@@ -175,7 +189,7 @@ private:
   std::unique_ptr<CountingTransport> Wire; ///< counting view over Owned
   bool HandshakeDone = false;
   bool Poisoned = false; ///< single-connection mode: failed for good
-  std::unordered_map<uint64_t, std::optional<uint64_t>> Cache;
+  PredictionCache Cache; ///< keyed at version 0
   BridgeCounters Count;
   std::function<void(int)> Sleep;
 };

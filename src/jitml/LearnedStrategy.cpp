@@ -4,19 +4,19 @@
 
 using namespace jitml;
 
+std::optional<uint64_t>
+LearnedStrategyProvider::predict(OptLevel Level,
+                                 const FeatureVector &Features) {
+  if (Models.hasModelFor(Level))
+    ++Predictions;
+  return Models.predict(Level, Features);
+}
+
 PlanModifier
 LearnedStrategyProvider::modifierFor(OptLevel Level,
                                      const FeatureVector &Features) {
-  const LevelModel &LM = Models.Levels[(unsigned)Level];
-  if (!LM.Valid)
-    return PlanModifier(); // original plan for uncovered levels
-  ++Predictions;
-  std::vector<double> X = LM.Scale.apply(Features);
-  int32_t Label = LM.Model.predict(X);
-  uint64_t Bits = 0;
-  if (!LM.Labels.modifierFor(Label, Bits))
-    return PlanModifier(); // unknown label: fail safe to the null modifier
-  return PlanModifier::fromRaw(Bits);
+  std::optional<uint64_t> Bits = predict(Level, Features);
+  return Bits ? PlanModifier::fromRaw(*Bits) : PlanModifier();
 }
 
 std::optional<uint64_t> LearnedStrategyProvider::predictModifier(
@@ -26,7 +26,7 @@ std::optional<uint64_t> LearnedStrategyProvider::predictModifier(
   FeatureVector F;
   for (unsigned I = 0; I < NumFeatures; ++I)
     F.set(I, (uint32_t)RawFeatures[I]);
-  return modifierFor(Level, F).raw();
+  return predict(Level, F);
 }
 
 VirtualMachine::ModifierHook
@@ -38,15 +38,6 @@ jitml::makeLearnedHook(LearnedStrategyProvider &P) {
   };
 }
 
-VirtualMachine::ModifierHook jitml::makeBridgedHook(ModelClient &Client) {
-  return [&Client](uint32_t MethodIndex, OptLevel Level,
-                   const FeatureVector &Features) {
-    (void)MethodIndex;
-    std::optional<uint64_t> Bits = Client.requestModifier(Level, Features);
-    return Bits ? PlanModifier::fromRaw(*Bits) : PlanModifier();
-  };
-}
-
 VirtualMachine::ModifierHook
 jitml::makeResilientHook(ResilientModelClient &Client) {
   return [&Client](uint32_t MethodIndex, OptLevel Level,
@@ -54,24 +45,5 @@ jitml::makeResilientHook(ResilientModelClient &Client) {
     (void)MethodIndex;
     std::optional<uint64_t> Bits = Client.requestModifier(Level, Features);
     return Bits ? PlanModifier::fromRaw(*Bits) : PlanModifier();
-  };
-}
-
-AsyncCompilePipeline::BatchModifierFn
-jitml::makeResilientBatchHook(ResilientModelClient &Client) {
-  return [&Client](const std::vector<AsyncCompilePipeline::BatchPredictItem>
-                       &Items) {
-    std::vector<ResilientModelClient::BatchRequest> Requests(Items.size());
-    for (size_t I = 0; I < Items.size(); ++I) {
-      Requests[I].Level = Items[I].Level;
-      Requests[I].Features = Items[I].Features;
-    }
-    std::vector<std::optional<uint64_t>> Bits =
-        Client.requestModifierBatch(Requests);
-    std::vector<PlanModifier> Modifiers(Items.size());
-    for (size_t I = 0; I < Bits.size() && I < Modifiers.size(); ++I)
-      if (Bits[I])
-        Modifiers[I] = PlanModifier::fromRaw(*Bits[I]);
-    return Modifiers;
   };
 }

@@ -7,9 +7,10 @@
 /// predicts a class label, and maps the label back to a 58-bit modifier
 /// through the lookup table.
 ///
-/// The provider can be wired to a VirtualMachine directly (in-process) or
-/// placed behind the bridge's named-pipe server so the model lives in a
-/// separate process, exactly like the paper's prototype.
+/// The provider can be wired to a VirtualMachine directly (in-process,
+/// makeLearnedHook) or placed behind the bridge's serveModel loop so the
+/// model lives in a separate process, exactly like the paper's prototype
+/// (makeResilientHook on the compiler side).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,11 +33,18 @@ public:
   explicit LearnedStrategyProvider(ModelSet Models)
       : Models(std::move(Models)) {}
 
-  /// Predicts the modifier for a compilation; the null modifier when the
-  /// level has no trained model (veryHot/scorching, or a failed fold).
+  /// Predicts the modifier bits for a compilation through the model set's
+  /// prediction chain; nullopt when the level has no trained model
+  /// (veryHot/scorching, or a failed fold) or the label is unknown.
+  std::optional<uint64_t> predict(OptLevel Level,
+                                  const FeatureVector &Features);
+
+  /// The modifier to install: the prediction, or the null modifier (the
+  /// original plan) where predict has no answer.
   PlanModifier modifierFor(OptLevel Level, const FeatureVector &Features);
 
-  /// ModelBackend: same prediction, bridge-flavored inputs.
+  /// ModelBackend: predict over raw bridge features; nullopt also for a
+  /// wrong feature count.
   std::optional<uint64_t>
   predictModifier(OptLevel Level,
                   const std::vector<double> &RawFeatures) override;
@@ -55,22 +63,11 @@ private:
 /// Hook adapter: plugs a provider into VirtualMachine::setModifierHook.
 VirtualMachine::ModifierHook makeLearnedHook(LearnedStrategyProvider &P);
 
-/// Hook adapter that goes through the bridge protocol (the model may be a
-/// thread or a separate process on the other end of the transport).
-VirtualMachine::ModifierHook makeBridgedHook(ModelClient &Client);
-
 /// Hook adapter over the hardened client: cache-first, deadline-bounded,
 /// and falling back to the unmodified hand-tuned plan whenever the model
 /// service cannot answer — a slow or dead service degrades compilation
 /// quality, never availability.
 VirtualMachine::ModifierHook makeResilientHook(ResilientModelClient &Client);
-
-/// Batch-hook adapter for the async pipeline: a worker's whole dequeued
-/// backlog travels in one FeatureBatch round trip through the hardened
-/// client. Entries the service cannot answer fall back to the unmodified
-/// plan individually.
-AsyncCompilePipeline::BatchModifierFn
-makeResilientBatchHook(ResilientModelClient &Client);
 
 } // namespace jitml
 

@@ -28,16 +28,22 @@ Scaling Scaling::fit(const std::vector<RankedInstance> &Data) {
 }
 
 std::vector<double> Scaling::apply(const FeatureVector &F) const {
-  std::vector<double> Out(NumFeatures, 0.0);
+  std::vector<double> Out(NumFeatures);
+  applyInto(F, Out.data());
+  return Out;
+}
+
+void Scaling::applyInto(const FeatureVector &F, double *Out) const {
   for (unsigned I = 0; I < NumFeatures; ++I) {
     double Delta = Max[I] - Min[I];
-    if (Delta <= 0.0)
-      continue; // invariant feature: contributes nothing
+    if (Delta <= 0.0) {
+      Out[I] = 0.0; // invariant feature: contributes nothing
+      continue;
+    }
     double V = ((double)F.get(I) - Min[I]) / Delta;
     // Unseen values outside the training range are clamped.
     Out[I] = V < 0.0 ? 0.0 : (V > 1.0 ? 1.0 : V);
   }
-  return Out;
 }
 
 std::string Scaling::toText() const {

@@ -31,6 +31,8 @@ public:
   /// Applies Eq. 3 to one raw feature vector. Components that were
   /// constant during fitting map to 0.
   std::vector<double> apply(const FeatureVector &F) const;
+  /// Same as apply, into \p Out (NumFeatures wide).
+  void applyInto(const FeatureVector &F, double *Out) const;
 
   double minOf(unsigned I) const { return Min[I]; }
   double maxOf(unsigned I) const { return Max[I]; }

@@ -10,7 +10,7 @@
 using namespace jitml;
 
 MicroBatcher::MicroBatcher(
-    ModelRegistry &Registry, PredictionCache *Cache,
+    ModelRegistry &Registry, PredictionCache &Cache,
     const std::atomic<uint64_t> &Outstanding, int DeadlineUs, int LingerUs,
     size_t MaxBatch,
     std::function<void(std::vector<PredictResult> &&)> Flush)
@@ -51,15 +51,7 @@ void MicroBatcher::stop() {
   Started = false;
 }
 
-void MicroBatcher::push(PredictRequest R) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Queue.push_back(std::move(R));
-  }
-  Cv.notify_one();
-}
-
-void MicroBatcher::pushMany(std::vector<PredictRequest> Rs) {
+void MicroBatcher::push(std::vector<PredictRequest> &Rs) {
   if (Rs.empty())
     return;
   {
@@ -67,6 +59,7 @@ void MicroBatcher::pushMany(std::vector<PredictRequest> Rs) {
     for (PredictRequest &R : Rs)
       Queue.push_back(std::move(R));
   }
+  Rs.clear();
   Cv.notify_one();
 }
 
@@ -132,8 +125,6 @@ void MicroBatcher::processBatch(std::vector<PredictRequest> &Batch) {
   for (size_t I = 0; I < Batch.size(); ++I) {
     Results[I].ConnId = Batch[I].ConnId;
     Results[I].Tag = Batch[I].Tag;
-    Results[I].AdmitUs = Batch[I].AdmitUs;
-    Results[I].Version = Version;
   }
 
   uint64_t SlowMs = 1;
@@ -160,49 +151,36 @@ void MicroBatcher::processBatch(std::vector<PredictRequest> &Batch) {
   if (Batch.size() > Uniques)
     CoalescedCtr->add(Batch.size() - Uniques);
 
-  // Group representatives by level so each covered level runs one dense
-  // predictBatch over a contiguous row-major matrix of scaled features.
-  for (unsigned L = 0; L < NumOptLevels; ++L) {
-    std::vector<size_t> Idx;
+  // Group representatives by level so each level runs one batch through
+  // the prediction chain.
+  std::vector<size_t> Idx;
+  std::vector<const FeatureVector *> Rows;
+  std::vector<std::optional<uint64_t>> Answers;
+  for (unsigned L = 0; L < NumOptLevels && Model; ++L) {
+    Idx.clear();
+    Rows.clear();
     for (size_t I = 0; I < Batch.size(); ++I)
-      if (Rep[I] == I && (unsigned)Batch[I].Level == L)
+      if (Rep[I] == I && (unsigned)Batch[I].Level == L) {
         Idx.push_back(I);
+        Rows.push_back(&Batch[I].Features);
+      }
     if (Idx.empty())
       continue;
-    const LevelModel *LM =
-        Model ? &Model->Set.Levels[L] : nullptr;
-    if (!LM || !LM->Valid)
-      continue; // every entry at this level stays Has=false (degraded)
-    std::vector<double> X(Idx.size() * NumFeatures);
-    for (size_t I = 0; I < Idx.size(); ++I) {
-      std::vector<double> Row = LM->Scale.apply(Batch[Idx[I]].Features);
-      std::copy(Row.begin(), Row.end(), X.begin() + I * NumFeatures);
-    }
-    std::vector<int32_t> Labels(Idx.size());
-    LM->Model.predictBatch(X.data(), Idx.size(), NumFeatures, Labels.data());
-    for (size_t I = 0; I < Idx.size(); ++I) {
-      uint64_t Bits = 0;
-      if (LM->Labels.modifierFor(Labels[I], Bits)) {
-        Results[Idx[I]].Has = true;
-        Results[Idx[I]].Bits = Bits;
-      } // unknown label: fail safe to the base plan (Has stays false)
-    }
+    Answers.resize(Idx.size());
+    predictModifiers(Model->Set.Levels[L], Rows.data(), Rows.size(),
+                     Answers.data());
+    for (size_t I = 0; I < Idx.size(); ++I)
+      Results[Idx[I]].Answer = Answers[I];
   }
 
   for (size_t I = 0; I < Batch.size(); ++I) {
-    if (Rep[I] != I) { // coalesced: take the representative's answer
-      Results[I].Has = Results[Rep[I]].Has;
-      Results[I].Bits = Results[Rep[I]].Bits;
-      continue;
-    }
-    if (Cache)
-      Cache->insert(Version, Batch[I].Level, Batch[I].FeatureHash,
-                    Results[I].Has ? std::optional<uint64_t>(Results[I].Bits)
-                                   : std::nullopt);
+    if (Rep[I] != I) // coalesced: take the representative's answer
+      Results[I].Answer = Results[Rep[I]].Answer;
+    else
+      Cache.insert(Version, Batch[I].Level, Batch[I].FeatureHash,
+                    Results[I].Answer);
   }
 
-  Batches.fetch_add(1, std::memory_order_relaxed);
-  Entries.fetch_add(Batch.size(), std::memory_order_relaxed);
   BatchesCtr->add();
   EntriesCtr->add(Batch.size());
   PredictionsCtr->add(Uniques); // dense rows actually computed

@@ -36,7 +36,7 @@
 #ifndef JITML_SERVE_BATCHER_H
 #define JITML_SERVE_BATCHER_H
 
-#include "serve/PredictionCache.h"
+#include "bridge/PredictionCache.h"
 #include "serve/Registry.h"
 
 #include <atomic>
@@ -56,17 +56,14 @@ struct PredictRequest {
   OptLevel Level = OptLevel::Cold;
   FeatureVector Features;
   uint64_t FeatureHash = 0; ///< Features.hash(), computed once at admit
-  uint64_t AdmitUs = 0;     ///< telemetryNowUs() at admission
 };
 
 /// One prediction outcome, flushed back to the event loop.
 struct PredictResult {
   uint64_t ConnId = 0;
   uint32_t Tag = 0;
-  bool Has = false;    ///< false: no model for this level (degraded entry)
-  uint64_t Bits = 0;
-  uint64_t Version = 0; ///< model version that answered
-  uint64_t AdmitUs = 0;
+  /// nullopt: no model for this level (degraded entry)
+  std::optional<uint64_t> Answer;
 };
 
 class MicroBatcher {
@@ -74,10 +71,10 @@ public:
   /// \p Flush runs on the batcher thread with each completed batch; the
   /// server posts the results to its event loop from there. \p Outstanding
   /// is the server's admitted-but-unanswered entry count (see the batch
-  /// closing policy above). \p Cache may be null (caching disabled).
+  /// closing policy above); predictions are inserted into \p Cache.
   /// \p LingerUs is the straggler window described above (clamped to the
   /// deadline; 0 restores close-on-first-quiescence).
-  MicroBatcher(ModelRegistry &Registry, PredictionCache *Cache,
+  MicroBatcher(ModelRegistry &Registry, PredictionCache &Cache,
                const std::atomic<uint64_t> &Outstanding, int DeadlineUs,
                int LingerUs, size_t MaxBatch,
                std::function<void(std::vector<PredictResult> &&)> Flush);
@@ -88,11 +85,9 @@ public:
   /// then joins the thread. Idempotent.
   void stop();
 
-  void push(PredictRequest R);
-  void pushMany(std::vector<PredictRequest> Rs);
-
-  uint64_t batches() const { return Batches.load(std::memory_order_relaxed); }
-  uint64_t entries() const { return Entries.load(std::memory_order_relaxed); }
+  /// Queues every entry of \p Rs (moved out; \p Rs is left empty so the
+  /// caller can reuse its capacity).
+  void push(std::vector<PredictRequest> &Rs);
 
 private:
   void run();
@@ -100,7 +95,7 @@ private:
   void processBatch(std::vector<PredictRequest> &Batch);
 
   ModelRegistry &Registry;
-  PredictionCache *Cache;
+  PredictionCache &Cache;
   const std::atomic<uint64_t> &Outstanding;
   const int DeadlineUs;
   const int LingerUs;
@@ -114,8 +109,6 @@ private:
   bool Started = false;
   std::thread Worker;
 
-  std::atomic<uint64_t> Batches{0};
-  std::atomic<uint64_t> Entries{0};
   TelemetryCounter *BatchesCtr, *EntriesCtr, *PredictionsCtr, *CoalescedCtr;
   TelemetryHistogram *BatchUs, *BatchFill;
 };

@@ -12,15 +12,7 @@ using namespace jitml;
 
 std::optional<uint64_t>
 ServeModel::predict(OptLevel Level, const FeatureVector &Features) const {
-  const LevelModel &LM = Set.Levels[(unsigned)Level];
-  if (!LM.Valid)
-    return std::nullopt;
-  std::vector<double> X = LM.Scale.apply(Features);
-  int32_t Label = LM.Model.predict(X);
-  uint64_t Bits = 0;
-  if (!LM.Labels.modifierFor(Label, Bits))
-    return std::nullopt; // unknown label: fail safe to the base plan
-  return Bits;
+  return Set.predict(Level, Features);
 }
 
 ModelRegistry::ModelRegistry() = default;

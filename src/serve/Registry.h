@@ -47,10 +47,10 @@ struct ServeModel {
   uint64_t Version = 0;
   ModelSet Set;
 
-  /// Scalar prediction through the same scale→predict→label-lookup chain
-  /// the in-process LearnedStrategyProvider uses; nullopt for levels
-  /// without a valid model (or an unknown label). The daemon's batcher
-  /// produces bit-identical answers through the dense batch kernels.
+  /// Scalar prediction through the one scale→predict→label-lookup chain
+  /// (jitml::predictModifiers) that the in-process LearnedStrategyProvider
+  /// and the daemon's batcher use too; nullopt for levels without a valid
+  /// model (or an unknown label).
   std::optional<uint64_t> predict(OptLevel Level,
                                   const FeatureVector &Features) const;
 };

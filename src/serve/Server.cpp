@@ -35,11 +35,11 @@ struct ModelServer::Connection {
   std::vector<uint8_t> InBuf;      ///< unconsumed reassembly bytes
   std::deque<Message> Pending;     ///< parsed frames awaiting processing
 
-  // The one request being answered asynchronously (clients are strictly
+  // The one prediction frame being answered (clients are strictly
   // request/reply, so there is at most one).
   bool Busy = false;
-  bool IsBatch = false;
-  Message Reply;                   ///< assembled reply (batch: prefilled)
+  MsgType Request = MsgType::Features;
+  std::vector<std::optional<uint64_t>> Answers; ///< one per frame entry
   size_t Remaining = 0;            ///< batcher results still missing
   uint64_t ReqStartUs = 0;
 
@@ -60,33 +60,30 @@ struct ModelServer::Impl {
   std::atomic<uint64_t> Accepts{0}, AcceptFails{0}, Rejected{0};
   std::atomic<uint64_t> ConnCount{0};
   std::atomic<uint64_t> Requests{0}, BatchRequests{0}, Entries{0};
-  std::atomic<uint64_t> Served{0}, Degraded{0};
   std::atomic<uint64_t> Shed{0}, ShedEntries{0};
-  std::atomic<uint64_t> CacheHits{0}, HelloRejects{0}, Malformed{0};
+  std::atomic<uint64_t> CacheHits{0}, Malformed{0};
+  FrameHandler Protocol{"serve"}; ///< counts served/degraded/hello rejects
 
-  TelemetryCounter *AcceptsCtr, *AcceptFailsCtr, *RequestsCtr, *ServedCtr,
-      *DegradedCtr, *ShedCtr, *HelloRejectsCtr, *MalformedCtr;
+  TelemetryCounter *AcceptsCtr, *AcceptFailsCtr, *RequestsCtr, *ShedCtr,
+      *MalformedCtr;
   TelemetryGauge *ConnGauge, *InflightGauge;
   TelemetryHistogram *RequestUs;
 };
 
 ModelServer::ModelServer(ModelRegistry &Registry, ServeConfig Cfg)
     : Registry(Registry), Cfg(std::move(Cfg)),
-      Cache(this->Cfg.CacheCapacity), I(new Impl) {
+      Cache(this->Cfg.CacheCapacity, "serve"), I(new Impl) {
   MetricRegistry &R = MetricRegistry::global();
   I->AcceptsCtr = &R.counter("serve.accepts");
   I->AcceptFailsCtr = &R.counter("serve.accept_fails");
   I->RequestsCtr = &R.counter("serve.requests");
-  I->ServedCtr = &R.counter("serve.served");
-  I->DegradedCtr = &R.counter("serve.degraded");
   I->ShedCtr = &R.counter("serve.shed");
-  I->HelloRejectsCtr = &R.counter("serve.hello_rejects");
   I->MalformedCtr = &R.counter("serve.malformed");
   I->ConnGauge = &R.gauge("serve.connections");
   I->InflightGauge = &R.gauge("serve.inflight");
   I->RequestUs = &R.histogram("serve.request");
   Batcher = std::make_unique<MicroBatcher>(
-      Registry, this->Cfg.CacheCapacity ? &Cache : nullptr, InflightEntries,
+      Registry, Cache, InflightEntries,
       this->Cfg.BatchDeadlineUs, this->Cfg.BatchLingerUs, MaxBatchEntries,
       [this](std::vector<PredictResult> &&Rs) { onResults(std::move(Rs)); });
 }
@@ -158,27 +155,19 @@ ModelServer::Stats ModelServer::stats() const {
   S.Requests = I->Requests.load(std::memory_order_relaxed);
   S.BatchRequests = I->BatchRequests.load(std::memory_order_relaxed);
   S.Entries = I->Entries.load(std::memory_order_relaxed);
-  S.Served = I->Served.load(std::memory_order_relaxed);
-  S.Degraded = I->Degraded.load(std::memory_order_relaxed);
+  ServeStats Answered = I->Protocol.stats();
+  S.Served = Answered.Served;
+  S.Degraded = Answered.Degraded;
   S.Shed = I->Shed.load(std::memory_order_relaxed);
   S.ShedEntries = I->ShedEntries.load(std::memory_order_relaxed);
   S.CacheHits = I->CacheHits.load(std::memory_order_relaxed);
-  S.HelloRejects = I->HelloRejects.load(std::memory_order_relaxed);
+  S.HelloRejects = Answered.HelloRejects;
   S.Malformed = I->Malformed.load(std::memory_order_relaxed);
   S.Inflight = InflightEntries.load(std::memory_order_relaxed);
   return S;
 }
 
 namespace {
-
-uint32_t readLe32(const uint8_t *P) {
-  return (uint32_t)P[0] | ((uint32_t)P[1] << 8) | ((uint32_t)P[2] << 16) |
-         ((uint32_t)P[3] << 24);
-}
-
-/// Largest frame the reassembler will buffer — same 1 MiB cap
-/// recvMessageFor enforces; a larger prefix is unframeable garbage.
-constexpr uint32_t MaxFrameBytes = 1u << 20;
 
 FeatureVector toFeatureVector(const std::vector<double> &Raw) {
   FeatureVector FV;
@@ -203,11 +192,12 @@ void ModelServer::loop() {
     }
   };
 
+  // Renders the frame's answers (FrameHandler counts them) and replies.
   auto FinishRequest = [&](Connection &C) {
-    int64_t Items = C.IsBatch ? (int64_t)C.Reply.BatchModifiers.size() : 1;
-    WriteMessage(C, C.Reply);
+    Message Reply;
+    I->Protocol.answer(C.Request, C.Answers.data(), C.Answers.size(), Reply);
+    WriteMessage(C, Reply);
     C.Busy = false;
-    C.Reply = Message();
     uint64_t DurUs = telemetryNowUs() - C.ReqStartUs;
     I->RequestUs->record(DurUs);
     if (TraceEmitter::global().enabled()) {
@@ -215,18 +205,8 @@ void ModelServer::loop() {
       E.Stage = "serve.request";
       E.StartUs = C.ReqStartUs;
       E.DurUs = DurUs;
-      E.Items = Items;
+      E.Items = (int64_t)C.Answers.size();
       TraceEmitter::global().record(E);
-    }
-  };
-
-  auto CountAnswer = [&](bool Has) {
-    if (Has) {
-      I->Served.fetch_add(1, std::memory_order_relaxed);
-      I->ServedCtr->add();
-    } else {
-      I->Degraded.fetch_add(1, std::memory_order_relaxed);
-      I->DegradedCtr->add();
     }
   };
 
@@ -234,10 +214,7 @@ void ModelServer::loop() {
     I->Shed.fetch_add(1, std::memory_order_relaxed);
     I->ShedEntries.fetch_add(NumEntries, std::memory_order_relaxed);
     I->ShedCtr->add();
-    Message Reply;
-    Reply.Type = MsgType::Error;
-    Reply.Text = "server overloaded: request shed";
-    WriteMessage(C, Reply);
+    WriteMessage(C, errorMessage("server overloaded: request shed"));
   };
 
   // Admission control: would admitting NumEntries more exceed the bound?
@@ -249,156 +226,74 @@ void ModelServer::loop() {
            Cfg.MaxInflight;
   };
 
+  // Prediction entries admitted by one frame; reused across frames.
+  std::vector<PredictRequest> Misses;
+
   auto HandleFrame = [&](Connection &C, Message &M) {
-    switch (M.Type) {
-    case MsgType::Hello: {
-      Message Reply;
-      if (M.Version != ProtocolVersion) {
-        I->HelloRejects.fetch_add(1, std::memory_order_relaxed);
-        I->HelloRejectsCtr->add();
-        Reply.Type = MsgType::Error;
-        Reply.Text = "unsupported protocol version";
-      } else {
-        Reply.Type = MsgType::Hello;
-        Reply.Version = ProtocolVersion;
-      }
-      WriteMessage(C, Reply);
-      break;
+    size_t N = FrameHandler::entries(M);
+    if (M.Type == MsgType::Features || M.Type == MsgType::FeatureBatch) {
+      I->Requests.fetch_add(1, std::memory_order_relaxed);
+      I->BatchRequests.fetch_add(M.Type == MsgType::FeatureBatch,
+                                 std::memory_order_relaxed);
+      I->Entries.fetch_add(N, std::memory_order_relaxed);
+      I->RequestsCtr->add();
+      C.ReqStartUs = telemetryNowUs();
     }
-    case MsgType::Bye:
+    Message Reply;
+    switch (I->Protocol.handle(M, Reply)) {
+    case FrameHandler::Action::Close:
       C.PeerClosed = true;
       C.Pending.clear();
-      break;
-    case MsgType::Features: {
-      I->Requests.fetch_add(1, std::memory_order_relaxed);
-      I->Entries.fetch_add(1, std::memory_order_relaxed);
-      I->RequestsCtr->add();
-      C.ReqStartUs = telemetryNowUs();
-      if (M.FeatureValues.size() != NumFeatures) {
-        Message Reply;
-        Reply.Type = MsgType::Error;
-        Reply.Text = "feature count mismatch";
-        CountAnswer(false);
-        WriteMessage(C, Reply);
-        break;
-      }
-      if (MustShed(1)) {
-        ShedFrame(C, 1);
-        break;
-      }
-      FeatureVector FV = toFeatureVector(M.FeatureValues);
-      uint64_t Hash = FV.hash();
-      uint64_t Version = Registry.version();
-      std::optional<uint64_t> Answer;
-      if (Cfg.CacheCapacity &&
-          Cache.lookup(Version, M.Level, Hash, Answer)) {
-        I->CacheHits.fetch_add(1, std::memory_order_relaxed);
-        Message Reply;
-        if (Answer) {
-          Reply.Type = MsgType::Modifier;
-          Reply.ModifierBits = *Answer;
-        } else {
-          Reply.Type = MsgType::Error;
-          Reply.Text = "no model for level";
-        }
-        CountAnswer(Answer.has_value());
-        WriteMessage(C, Reply);
-        uint64_t DurUs = telemetryNowUs() - C.ReqStartUs;
-        I->RequestUs->record(DurUs);
-        break;
-      }
-      C.Busy = true;
-      C.IsBatch = false;
-      C.Remaining = 1;
-      C.Reply = Message();
-      InflightEntries.fetch_add(1, std::memory_order_relaxed);
-      I->InflightGauge->set(
-          (int64_t)InflightEntries.load(std::memory_order_relaxed));
-      PredictRequest R;
-      R.ConnId = C.Id;
-      R.Tag = 0;
-      R.Level = M.Level;
-      R.Features = FV;
-      R.FeatureHash = Hash;
-      R.AdmitUs = C.ReqStartUs;
-      Batcher->push(std::move(R));
-      break;
-    }
-    case MsgType::FeatureBatch: {
-      I->Requests.fetch_add(1, std::memory_order_relaxed);
-      I->BatchRequests.fetch_add(1, std::memory_order_relaxed);
-      I->Entries.fetch_add(M.BatchFeatures.size(), std::memory_order_relaxed);
-      I->RequestsCtr->add();
-      C.ReqStartUs = telemetryNowUs();
-      if (MustShed(M.BatchFeatures.size())) {
-        ShedFrame(C, M.BatchFeatures.size());
-        break;
-      }
-      Message Reply;
-      Reply.Type = MsgType::ModifierBatch;
-      Reply.BatchModifiers.resize(M.BatchFeatures.size());
-      uint64_t Version = Registry.version();
-      std::vector<PredictRequest> Misses;
-      for (size_t J = 0; J < M.BatchFeatures.size(); ++J) {
-        const BatchFeatureEntry &E = M.BatchFeatures[J];
-        if (E.FeatureValues.size() != NumFeatures) {
-          CountAnswer(false); // HasModifier stays false
-          continue;
-        }
-        FeatureVector FV = toFeatureVector(E.FeatureValues);
-        uint64_t Hash = FV.hash();
-        std::optional<uint64_t> Answer;
-        if (Cfg.CacheCapacity &&
-            Cache.lookup(Version, E.Level, Hash, Answer)) {
-          I->CacheHits.fetch_add(1, std::memory_order_relaxed);
-          if (Answer) {
-            Reply.BatchModifiers[J].HasModifier = true;
-            Reply.BatchModifiers[J].Bits = *Answer;
-          }
-          CountAnswer(Answer.has_value());
-          continue;
-        }
-        PredictRequest R;
-        R.ConnId = C.Id;
-        R.Tag = (uint32_t)J;
-        R.Level = E.Level;
-        R.Features = FV;
-        R.FeatureHash = Hash;
-        R.AdmitUs = C.ReqStartUs;
-        Misses.push_back(std::move(R));
-      }
-      if (Misses.empty()) {
-        WriteMessage(C, Reply);
-        uint64_t DurUs = telemetryNowUs() - C.ReqStartUs;
-        I->RequestUs->record(DurUs);
-        break;
-      }
-      C.Busy = true;
-      C.IsBatch = true;
-      C.Remaining = Misses.size();
-      C.Reply = std::move(Reply);
-      InflightEntries.fetch_add(Misses.size(), std::memory_order_relaxed);
-      I->InflightGauge->set(
-          (int64_t)InflightEntries.load(std::memory_order_relaxed));
-      Batcher->pushMany(std::move(Misses));
-      break;
-    }
-    default: {
-      Message Reply;
-      Reply.Type = MsgType::Error;
-      Reply.Text = "unexpected message";
+      return;
+    case FrameHandler::Action::Reply:
       WriteMessage(C, Reply);
+      return;
+    case FrameHandler::Action::Predict:
       break;
     }
+    if (MustShed(N)) {
+      ShedFrame(C, N);
+      return;
     }
+    // Answer each entry from the shared cache where possible; the misses
+    // go to the batcher. Entries with a wrong feature count stay nullopt.
+    C.Request = M.Type;
+    C.Answers.assign(N, std::nullopt);
+    uint64_t Version = Registry.version();
+    for (size_t J = 0; J < N; ++J) {
+      const std::vector<double> *Raw = FrameHandler::entryFeatures(M, J);
+      if (!Raw)
+        continue;
+      PredictRequest R;
+      R.Level = FrameHandler::entryLevel(M, J);
+      R.Features = toFeatureVector(*Raw);
+      R.FeatureHash = R.Features.hash();
+      if (Cache.lookup(Version, R.Level, R.FeatureHash, C.Answers[J])) {
+        I->CacheHits.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      R.ConnId = C.Id;
+      R.Tag = (uint32_t)J;
+      Misses.push_back(std::move(R));
+    }
+    if (Misses.empty()) {
+      FinishRequest(C);
+      return;
+    }
+    C.Busy = true;
+    C.Remaining = Misses.size();
+    InflightEntries.fetch_add(Misses.size(), std::memory_order_relaxed);
+    I->InflightGauge->set(
+        (int64_t)InflightEntries.load(std::memory_order_relaxed));
+    Batcher->push(Misses);
   };
 
   auto ParseFrames = [&](Connection &C) {
     std::vector<uint8_t> &B = C.InBuf;
     size_t Off = 0;
     while (B.size() - Off >= 4) {
-      uint32_t Len = readLe32(&B[Off]);
-      if (Len == 0 || Len > MaxFrameBytes) {
+      uint32_t Len = frameLength(&B[Off]);
+      if (Len == 0) {
         // Unframeable garbage: the stream can never re-align; drop the
         // connection (mirrors recvMessageFor's Closed classification).
         C.Dead = true;
@@ -416,10 +311,7 @@ void ModelServer::loop() {
         // Frame-aligned but invalid content: answer Error, keep session.
         I->Malformed.fetch_add(1, std::memory_order_relaxed);
         I->MalformedCtr->add();
-        Message Reply;
-        Reply.Type = MsgType::Error;
-        Reply.Text = "malformed frame";
-        WriteMessage(C, Reply);
+        WriteMessage(C, errorMessage("malformed frame"));
         continue;
       }
       C.Pending.push_back(std::move(M));
@@ -448,21 +340,8 @@ void ModelServer::loop() {
       if (It == I->Conns.end())
         continue; // connection already torn down (never while Busy)
       Connection &C = *It->second;
-      if (C.IsBatch) {
-        if (R.Tag < C.Reply.BatchModifiers.size()) {
-          C.Reply.BatchModifiers[R.Tag].HasModifier = R.Has;
-          C.Reply.BatchModifiers[R.Tag].Bits = R.Bits;
-        }
-      } else {
-        if (R.Has) {
-          C.Reply.Type = MsgType::Modifier;
-          C.Reply.ModifierBits = R.Bits;
-        } else {
-          C.Reply.Type = MsgType::Error;
-          C.Reply.Text = "no model for level";
-        }
-      }
-      CountAnswer(R.Has);
+      if (R.Tag < C.Answers.size())
+        C.Answers[R.Tag] = R.Answer;
       if (C.Remaining > 0 && --C.Remaining == 0)
         FinishRequest(C);
     }

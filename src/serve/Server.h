@@ -17,12 +17,16 @@
 ///
 /// Admission control: at most MaxInflight admitted-but-unanswered entries.
 /// Over capacity the daemon answers Error immediately (a shed), which the
-/// ResilientModelClient already treats as a definitive "use the hand-tuned
-/// plan" — overload degrades compilation quality, never availability, and
-/// never wedges the event loop behind a backlog it cannot clear.
+/// ResilientModelClient answers with the hand-tuned plan for that request
+/// only (a shed is never cached) — overload degrades compilation quality,
+/// never availability, and never wedges the event loop behind a backlog it
+/// cannot clear.
 ///
 /// Protocol invariants: the wire format is the bridge's framed Message
 /// protocol, unchanged — any existing client works against the daemon.
+/// Every protocol decision (Hello, Bye, validation, reply rendering,
+/// served/degraded counting) is the bridge's FrameHandler, the same code
+/// serveModel runs; the daemon adds admission, the cache and batching.
 /// Each connection's replies are written only by the event loop thread, in
 /// request order, so the strict request/reply clients never see
 /// interleaved frames.
@@ -38,7 +42,6 @@
 
 #include "bridge/ModelService.h"
 #include "serve/Batcher.h"
-#include "serve/PredictionCache.h"
 #include "serve/Registry.h"
 
 #include <atomic>

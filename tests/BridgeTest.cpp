@@ -4,6 +4,7 @@
 #include "bridge/ResilientClient.h"
 #include "bridge/Transports.h"
 #include "jitml/LearnedStrategy.h"
+#include "serve/Server.h"
 
 #include "TestPrograms.h"
 
@@ -46,6 +47,16 @@ void writeRawFrame(Transport &T, uint8_t Type,
   Frame.push_back(Type);
   Frame.insert(Frame.end(), Payload.begin(), Payload.end());
   ASSERT_TRUE(T.writeBytes(Frame.data(), Frame.size()));
+}
+
+/// A plain blocking client: no deadline, no retry, no cache — one round
+/// trip per request over the caller's transport.
+ResilientModelClient::Config plainConfig() {
+  ResilientModelClient::Config C;
+  C.RequestTimeoutMs = -1;
+  C.MaxAttempts = 1;
+  C.CacheCapacity = 0;
+  return C;
 }
 
 double elapsedMs(std::chrono::steady_clock::time_point Start) {
@@ -136,8 +147,7 @@ TEST(Service, InProcessClientServerSession) {
   auto [ClientEnd, ServerEnd] = InProcessPipe::makePair();
   StubBackend Backend;
   std::thread Server([&] { serveModel(*ServerEnd, Backend); });
-  ModelClient Client(*ClientEnd);
-  ASSERT_TRUE(Client.hello());
+  ResilientModelClient Client(std::move(ClientEnd), plainConfig());
 
   FeatureVector F;
   F.set(CF_TreeNodes, 40);
@@ -170,8 +180,7 @@ TEST(Service, NamedPipeSession) {
   });
   auto T = FifoTransport::open(ToServer, ToClient, /*IsServer=*/false);
   ASSERT_NE(T, nullptr);
-  ModelClient Client(*T);
-  ASSERT_TRUE(Client.hello());
+  ResilientModelClient Client(std::move(T), plainConfig());
   FeatureVector F;
   F.set(CF_TreeNodes, 7);
   std::optional<uint64_t> Bits = Client.requestModifier(OptLevel::Cold, F);
@@ -189,8 +198,7 @@ TEST(Service, ManySequentialRequests) {
   StubBackend Backend;
   Backend.FailLevels = false;
   std::thread Server([&] { serveModel(*ServerEnd, Backend); });
-  ModelClient Client(*ClientEnd);
-  ASSERT_TRUE(Client.hello());
+  ResilientModelClient Client(std::move(ClientEnd), plainConfig());
   for (unsigned I = 0; I < 200; ++I) {
     FeatureVector F;
     F.set(CF_TreeNodes, I);
@@ -273,12 +281,52 @@ TEST(Message, TruncatedFrameIsClosedNotHang) {
 }
 
 TEST(Message, OversizeAndZeroLengthFramesAreFatal) {
+  auto Prefix = [](uint32_t Len) {
+    return std::vector<uint8_t>{(uint8_t)Len, (uint8_t)(Len >> 8),
+                                (uint8_t)(Len >> 16), (uint8_t)(Len >> 24)};
+  };
   {
     auto [A, B] = InProcessPipe::makePair();
     uint8_t Huge[4] = {0xff, 0xff, 0xff, 0x7f};
     A->writeBytes(Huge, 4);
     Message Out;
     EXPECT_EQ(recvMessageFor(*B, Out, 1000), RecvStatus::Closed);
+  }
+  {
+    // The cap itself is framable (the receiver waits for the payload);
+    // one byte more is not.
+    auto [A, B] = InProcessPipe::makePair();
+    std::vector<uint8_t> AtCap = Prefix(MaxFrameBytes);
+    A->writeBytes(AtCap.data(), 4);
+    Message Out;
+    EXPECT_EQ(recvMessageFor(*B, Out, 30), RecvStatus::Timeout);
+    auto [C, D] = InProcessPipe::makePair();
+    std::vector<uint8_t> OverCap = Prefix(MaxFrameBytes + 1);
+    C->writeBytes(OverCap.data(), 4);
+    EXPECT_EQ(recvMessageFor(*D, Out, 1000), RecvStatus::Closed);
+  }
+  {
+    // The daemon applies the same cap: a cap+1 prefix drops the
+    // connection, while other sessions keep being served.
+    ModelRegistry Registry;
+    ServeConfig Cfg;
+    Cfg.SocketPath =
+        "/tmp/jitml-frame-cap-" + std::to_string(::getpid()) + ".sock";
+    ModelServer Server(Registry, Cfg);
+    ASSERT_TRUE(Server.start());
+    auto Bad = SocketTransport::connect(Cfg.SocketPath);
+    ASSERT_NE(Bad, nullptr);
+    std::vector<uint8_t> OverCap = Prefix(MaxFrameBytes + 1);
+    ASSERT_TRUE(Bad->writeBytes(OverCap.data(), 4));
+    Message Out;
+    EXPECT_EQ(recvMessageFor(*Bad, Out, 10000), RecvStatus::Closed);
+    auto Good = SocketTransport::connect(Cfg.SocketPath);
+    ASSERT_NE(Good, nullptr);
+    std::vector<uint8_t> AtCap = Prefix(MaxFrameBytes);
+    ASSERT_TRUE(Good->writeBytes(AtCap.data(), 4));
+    EXPECT_EQ(recvMessageFor(*Good, Out, 30), RecvStatus::Timeout);
+    Good.reset();
+    Server.stop();
   }
   {
     auto [A, B] = InProcessPipe::makePair();
@@ -341,7 +389,7 @@ TEST(Service, RejectsWrongFeatureCountWithErrorReply) {
   EXPECT_EQ(Reply.Text, "feature count mismatch");
   // The malformed request never reached the backend and the session
   // survives: a well-formed request still gets served.
-  ModelClient Client(*ClientEnd);
+  ResilientModelClient Client(std::move(ClientEnd), plainConfig());
   FeatureVector F;
   F.set(CF_TreeNodes, 4);
   auto Bits = Client.requestModifier(OptLevel::Cold, F);
@@ -361,8 +409,10 @@ TEST(Service, MalformedFrameGetsErrorReplyAndSessionSurvives) {
   ASSERT_TRUE(recvMessage(*ClientEnd, Reply));
   EXPECT_EQ(Reply.Type, MsgType::Error);
   EXPECT_EQ(Reply.Text, "malformed frame");
-  ModelClient Client(*ClientEnd);
-  ASSERT_TRUE(Client.hello());
+  ResilientModelClient Client(std::move(ClientEnd), plainConfig());
+  FeatureVector F;
+  F.set(CF_TreeNodes, 6);
+  EXPECT_EQ(Client.requestModifier(OptLevel::Cold, F), 6u);
   Client.bye();
   Server.join();
 }

@@ -729,7 +729,6 @@ serveChaosClient(const std::string &Path) {
   ResilientModelClient::Config C = fastConfig();
   C.RequestTimeoutMs = 10000; // the daemon answers; only EOFs degrade
   C.CacheCapacity = 0;
-  C.CacheErrorReplies = false;
   return std::make_unique<ResilientModelClient>(
       [Path]() -> std::unique_ptr<Transport> {
         return SocketTransport::connect(Path);
@@ -775,6 +774,41 @@ TEST(Chaos, ServeForcedShedIsCountedExactlyAndFallsBack) {
   EXPECT_EQ(S.Shed, fires("serve.shed"));
   EXPECT_EQ((uint64_t)Fallbacks, S.Shed);
   EXPECT_EQ(S.Served, (uint64_t)(N - N / 3));
+}
+
+TEST(Chaos, ServeShedIsNeverCachedAsNoModel) {
+  // A shed is transient: a client with the default config (cache on,
+  // error replies cached) must not remember it as "no model". The same
+  // request right after the one forced shed gets the model's answer.
+  ModelRegistry Registry;
+  Registry.install(serveChaosModelSet(100));
+  ServeConfig Cfg;
+  Cfg.SocketPath = serveChaosSocket("shedcache");
+  Cfg.CacheCapacity = 0;
+  ModelServer Server(Registry, Cfg);
+  ASSERT_TRUE(Server.start());
+  std::shared_ptr<const ServeModel> M = Registry.snapshot();
+  std::string Path = Cfg.SocketPath;
+  ResilientModelClient::Config CC; // default cache settings
+  CC.RequestTimeoutMs = 10000;     // sanitizer builds are slow
+  ResilientModelClient Client(
+      [Path]() -> std::unique_ptr<Transport> {
+        return SocketTransport::connect(Path);
+      },
+      CC);
+
+  FaultGuard G("serve.shed=k1");
+  FeatureVector F = serveChaosFeatures(7);
+  EXPECT_FALSE(Client.requestModifier(OptLevel::Warm, F).has_value());
+  std::optional<uint64_t> Second = Client.requestModifier(OptLevel::Warm, F);
+  ASSERT_TRUE(Second.has_value());
+  EXPECT_EQ(Second, M->predict(OptLevel::Warm, F));
+  EXPECT_EQ(Server.stats().Shed, 1u);
+  BridgeCounters C = Client.counters();
+  EXPECT_EQ(C.CacheHits, 0u);
+  EXPECT_EQ(C.ErrorReplies, 1u);
+  Client.bye();
+  Server.stop();
 }
 
 TEST(Chaos, ServeReloadFailureKeepsPriorModelServing) {

@@ -19,17 +19,30 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace jitml;
 
 namespace {
 
+/// Plain bytes, zero-filled: gtest prints a parameter that has no
+/// operator<< as a byte dump, and that dump is part of each ctest name. A
+/// std::string member would put a heap address (and uninitialized padding)
+/// into the names, so they would change from build to build.
 struct SweepCase {
-  std::string Code;
+  char Code[39];
   OptLevel Level;
 };
 
+SweepCase sweepCase(const std::string &Code, OptLevel Level) {
+  SweepCase C{};
+  Code.copy(C.Code, sizeof(C.Code) - 1);
+  C.Level = Level;
+  return C;
+}
+
 std::string caseName(const ::testing::TestParamInfo<SweepCase> &Info) {
-  return Info.param.Code + "_" + optLevelName(Info.param.Level);
+  return std::string(Info.param.Code) + "_" + optLevelName(Info.param.Level);
 }
 
 } // namespace
@@ -83,11 +96,11 @@ std::vector<SweepCase> sweepCases() {
   std::vector<SweepCase> Cases;
   for (const WorkloadSpec &S : trainingBenchmarks())
     for (unsigned L = 0; L < NumOptLevels; ++L)
-      Cases.push_back({S.Code, (OptLevel)L});
+      Cases.push_back(sweepCase(S.Code, (OptLevel)L));
   // Two DaCapo-style benchmarks stress BCD and heavy dispatch.
   for (const char *Code : {"h2", "ec"})
     for (OptLevel L : {OptLevel::Warm, OptLevel::Scorching})
-      Cases.push_back({Code, L});
+      Cases.push_back(sweepCase(Code, L));
   return Cases;
 }
 

@@ -13,6 +13,7 @@
 #include "bridge/ModelService.h"
 #include "bridge/ResilientClient.h"
 #include "bridge/Transports.h"
+#include "jitml/LearnedStrategy.h"
 #include "serve/Server.h"
 #include "support/FaultInjection.h"
 
@@ -119,12 +120,10 @@ struct ServeHarness {
     };
   }
 
-  std::unique_ptr<ResilientModelClient>
-  client(size_t CacheCapacity = 0, bool CacheErrors = false) {
+  std::unique_ptr<ResilientModelClient> client() {
     ResilientModelClient::Config C;
     C.RequestTimeoutMs = 10000; // generous: sanitizer builds are slow
-    C.CacheCapacity = CacheCapacity;
-    C.CacheErrorReplies = CacheErrors;
+    C.CacheCapacity = 0;
     return std::make_unique<ResilientModelClient>(factory(), C);
   }
 };
@@ -465,8 +464,11 @@ TEST(Serve, ServeModelReportsServedVersusDegraded) {
     delete Raw;
   });
 
-  ModelClient Client(*ClientEnd);
-  ASSERT_TRUE(Client.hello());
+  ResilientModelClient::Config C;
+  C.RequestTimeoutMs = -1;
+  C.MaxAttempts = 1;
+  C.CacheCapacity = 0;
+  ResilientModelClient Client(std::move(ClientEnd), C);
   // 3 covered requests, 2 uncovered (Scorching has no model).
   for (unsigned I = 0; I < 3; ++I)
     EXPECT_TRUE(Client.requestModifier(OptLevel::Warm, uniqueFeatures(1, I))
@@ -484,8 +486,40 @@ TEST(Serve, ServeModelReportsServedVersusDegraded) {
   EXPECT_EQ(Stats.HelloRejects, 0u);
 }
 
+TEST(Serve, ServeModelOverProviderAnswersUncoveredLevelsWithError) {
+  // serveModel over the in-process provider must answer an uncovered
+  // level the way the daemon does: Error NoModelError, counted degraded —
+  // not a null-modifier Modifier counted as served.
+  auto [ClientEnd, ServerEnd] = InProcessPipe::makePair();
+  LearnedStrategyProvider Provider(makeModelSet(100));
+  InProcessPipe *Raw = ServerEnd.release();
+  ServeStats Stats;
+  std::thread Server([&, Raw] {
+    Stats = serveModel(*Raw, Provider);
+    delete Raw;
+  });
+  FeatureVector F = uniqueFeatures(3, 3);
+  for (OptLevel Level : {OptLevel::Scorching, OptLevel::VeryHot}) {
+    Message M;
+    M.Type = MsgType::Features;
+    M.Level = Level;
+    M.FeatureValues.assign(F.raw().begin(), F.raw().end());
+    ASSERT_TRUE(sendMessage(*ClientEnd, M));
+    Message Reply;
+    ASSERT_TRUE(recvMessage(*ClientEnd, Reply));
+    EXPECT_EQ(Reply.Type, MsgType::Error) << optLevelName(Level);
+    EXPECT_EQ(Reply.Text, NoModelError) << optLevelName(Level);
+  }
+  Message Bye;
+  Bye.Type = MsgType::Bye;
+  sendMessage(*ClientEnd, Bye);
+  Server.join();
+  EXPECT_EQ(Stats.Served, 0u);
+  EXPECT_EQ(Stats.Degraded, 2u);
+}
+
 TEST(Serve, PredictionCacheLruAndVersionIsolation) {
-  PredictionCache C(/*Capacity=*/2);
+  PredictionCache C(/*Capacity=*/2, "serve");
   std::optional<uint64_t> A;
   EXPECT_FALSE(C.lookup(1, OptLevel::Warm, 111, A));
   C.insert(1, OptLevel::Warm, 111, 42);
@@ -508,7 +542,7 @@ TEST(Serve, PredictionCacheLruAndVersionIsolation) {
   EXPECT_GE(S.Evictions, 1u);
 
   // Capacity 0 disables caching entirely.
-  PredictionCache Off(0);
+  PredictionCache Off(0, "serve");
   Off.insert(1, OptLevel::Warm, 1, 1);
   EXPECT_FALSE(Off.lookup(1, OptLevel::Warm, 1, A));
 }
